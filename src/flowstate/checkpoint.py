@@ -39,10 +39,16 @@ def _decode_array(d: dict) -> np.ndarray:
     return raw.reshape(d["shape"]).astype(np.float64)
 
 
-def checkpoint_dict(flow, encoder=None, norm=None, window_config=None, extra=None) -> dict:
+def model_parameters(flow, encoder=None) -> dict:
+    """Every named parameter of the flow, then of the encoder when there is one."""
     params = dict(flow.parameters())
     if encoder is not None:
         params.update(encoder.parameters())
+    return params
+
+
+def checkpoint_dict(flow, encoder=None, norm=None, window_config=None, extra=None) -> dict:
+    params = model_parameters(flow, encoder)
     return {
         "format": FORMAT,
         "version": VERSION,
@@ -74,9 +80,7 @@ def restore_models(ckpt: dict):
     encoder = None
     if ckpt.get("encoder_config"):
         encoder = build_encoder(EncoderConfig.from_dict(ckpt["encoder_config"]))
-    params = dict(flow.parameters())
-    if encoder is not None:
-        params.update(encoder.parameters())
+    params = model_parameters(flow, encoder)
     stored = ckpt["params"]
     missing = set(params) - set(stored)
     unexpected = set(stored) - set(params)

@@ -10,6 +10,7 @@ set.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -37,50 +38,38 @@ from .dynamics.vehicle import VehicleParams
 from .encoders import EncoderConfig, build_encoder
 from .flow import FlowConfig, FlowModel
 from .inference import Predictor, RolloutConfig, kl_knn, mape, per_dimension_nll, write_rollout_bands
-from .training import LossWeights, TrainConfig, train
+from .training import ArrayDataset, LossWeights, TrainConfig, train
 
+
+def _defaults(fn, *names) -> dict:
+    """The declared defaults of the named parameters of a function or dataclass."""
+    params = inspect.signature(fn).parameters
+    return {name: params[name].default for name in names}
+
+
+# Sections that restate a dataclass or function read its declared defaults;
+# the literals are values that exist only in the CLI.
 DEFAULTS = {
-    "flow": {
-        "n_layers": 10,
-        "hidden_features": 4,
-        "context_features": 4,
-        "base_hidden_features": 16,
-    },
-    "encoder": {
-        "model_dim": 32,
-        "n_encoder_layers": 4,
-        "n_decoder_layers": 4,
-        "n_heads": 2,
-        "ff_dim": 64,
-        "ssm_state_dim": 8,
-        "conv_kernel_width": 4,
-        "expansion": 2,
-        "mlp_hidden": 64,
-    },
+    "flow": _defaults(
+        FlowConfig, "n_layers", "hidden_features", "context_features", "base_hidden_features"
+    ),
+    "encoder": _defaults(
+        EncoderConfig, "model_dim", "n_encoder_layers", "n_decoder_layers", "n_heads",
+        "ff_dim", "ssm_state_dim", "conv_kernel_width", "expansion", "mlp_hidden",
+    ),
     "train": {
-        "iterations": 10_000,
-        "batch_size": 2048,
-        "learning_rate": 0.001,
-        "lambda1": 1.0,
-        "lambda2": 0.1,
-        "lambda3": 0.01,
-        "grad_clip": 10.0,
+        **_defaults(TrainConfig, "iterations", "batch_size", "learning_rate", "grad_clip"),
+        **_defaults(LossWeights, "lambda1", "lambda2", "lambda3"),
     },
     "window": {"R": 5, "horizon": 1, "context_noise_sigma": 1.0},
-    "vehicle": {
-        "dt": 0.1,
-        "switch_time": 5.5,
-        "sigma_v": 0.01,
-        "sigma_phi": 0.025,
-        "c1": 0.1,
-        "c2": 0.5,
-    },
-    "sir": {"beta": 0.03, "gamma": 0.01, "noise_sigma": 0.001, "dt": 1.0,
+    "vehicle": _defaults(VehicleParams, "dt", "switch_time", "sigma_v", "sigma_phi", "c1", "c2"),
+    "sir": {**_defaults(SirParams, "beta", "gamma", "noise_sigma", "dt"),
             "s0": 0.99, "i0": 0.01, "r0": 0.0},
     "sir_ensemble": {"beta_range": [0.02, 0.04], "gamma_range": [0.005, 0.025]},
-    "kl": {"k": 1},
-    "estimate": {"n_samples": 1000},
-    "rollout": {"window_sizes_days": [7, 28], "aggregation": "mean", "n_samples": 500},
+    "kl": _defaults(kl_knn, "k"),
+    "estimate": _defaults(Predictor.estimate_state, "n_samples"),
+    "rollout": {**_defaults(RolloutConfig, "aggregation", "n_samples"),
+                "window_sizes_days": [7, 28]},
 }
 
 
@@ -129,16 +118,51 @@ def _parse_at(spec: str, t: np.ndarray) -> int:
     return int(spec)
 
 
-def _context_from_trajectory(tr, step: int, R: int, direction: str) -> np.ndarray:
-    if direction == "forward":
-        lo = step - R + 1
-        if lo < 0 or step >= len(tr):
-            raise ConfigError(f"step {step} leaves no room for an R={R} forward context")
-        return tr.obs[lo : step + 1].copy()
-    hi = step + R
-    if step < 0 or hi > len(tr):
-        raise ConfigError(f"step {step} leaves no room for an R={R} backward context")
-    return tr.obs[step:hi][::-1].copy()
+class _Window:
+    """A checkpoint's window settings laid on a dataset: the context at a
+    trajectory step and the step it predicts."""
+
+    def __init__(self, window_config: dict, ts, direction=None, R=None):
+        self.ts = ts
+        self.direction = direction or window_config.get("direction", "forward")
+        self.R = R or window_config.get("R", DEFAULTS["window"]["R"])
+        self.horizon = window_config.get("horizon", 1)
+        self.dims = window_config.get("target_dims") or list(range(ts[0].states.shape[1]))
+
+    def step_range(self, n: int) -> tuple[int, int]:
+        """First and last step of an n-row trajectory with room for a context and its target."""
+        if self.direction == "forward":
+            return self.R - 1, n - self.horizon - 1
+        return self.horizon, n - self.R
+
+    def target_step(self, step, k=1):
+        """The step predicted k horizons on from the context at ``step``."""
+        sign = 1 if self.direction == "forward" else -1
+        return step + sign * self.horizon * k
+
+    def locate(self, traj: int, at) -> tuple[Trajectory, int, np.ndarray, int]:
+        """(trajectory, step, context, target step); ``at`` is a step or a t=/idx= spec."""
+        if not 0 <= traj < len(self.ts):
+            raise ConfigError(f"--traj {traj} outside [0, {len(self.ts)})")
+        tr = self.ts[traj]
+        step = at if isinstance(at, int) else _parse_at(at, tr.t)
+        if self.direction == "forward":
+            lo = step - self.R + 1
+            if lo < 0 or step >= len(tr):
+                raise ConfigError(f"step {step} leaves no room for an R={self.R} forward context")
+            ctx = tr.obs[lo : step + 1].copy()
+        else:
+            hi = step + self.R
+            if step < 0 or hi > len(tr):
+                raise ConfigError(f"step {step} leaves no room for an R={self.R} backward context")
+            ctx = tr.obs[step:hi][::-1].copy()
+        return tr, step, ctx, self.target_step(step)
+
+    def rollout_config(self, n_steps: int, aggregation: str, n_samples: int) -> RolloutConfig:
+        return RolloutConfig(
+            n_steps=n_steps, direction=self.direction, R=self.R, horizon=self.horizon,
+            aggregation=aggregation, n_samples=n_samples,
+        )
 
 
 # -- subcommands -------------------------------------------------------------
@@ -209,66 +233,33 @@ def _windows_from_args(ts, args):
 def cmd_train(args) -> int:
     ts = read_dataset(args.dataset)
     if args.unconditional:
-        return _train_unconditional(args, ts)
-    wd = _windows_from_args(ts, args)
-    flow_cfg = FlowConfig(
-        data_dim=wd.target_dim,
-        n_layers=args.flow_layers,
-        hidden_features=args.flow_hidden,
-        context_features=args.context_features,
-        base_hidden_features=args.base_hidden,
-        seed=args.seed,
-    )
-    enc_cfg = EncoderConfig(
-        kind=args.encoder,
-        input_dim=wd.obs_dim,
-        embed_dim=args.context_features,
-        model_dim=args.model_dim,
-        n_encoder_layers=args.encoder_layers,
-        n_decoder_layers=args.decoder_layers,
-        n_heads=args.heads,
-        ff_dim=args.ff_dim,
-        ssm_state_dim=args.ssm_state_dim,
-        conv_kernel_width=args.conv_width,
-        expansion=args.expansion,
-        mlp_hidden=args.mlp_hidden,
-        window_length=args.window,
-        seed=args.seed,
-    )
-    flow = FlowModel(flow_cfg)
-    encoder = build_encoder(enc_cfg)
-    cfg = TrainConfig(
-        iterations=args.iterations,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-        weights=LossWeights(args.lambda1, args.kinetic_lambda, args.prior_lambda),
-        grad_clip=args.grad_clip,
-    )
-    ckpt, log = train(wd, flow, encoder, cfg)
-    out = _out_path(args.out)
-    save_checkpoint(out, ckpt)
-    loss_path = _out_path(args.loss_log) if args.loss_log else out.with_suffix(".loss.csv")
-    log.to_csv(loss_path)
-    if log.iteration:
-        print(
-            f"final losses: total={log.total[-1]:.6f} nll={log.nll[-1]:.6f} "
-            f"kinetic={log.kinetic[-1]:.6f} prior={log.prior[-1]:.6f}"
-        )
-    print(f"wrote checkpoint to {out}")
-    return 0
-
-
-def _train_unconditional(args, ts) -> int:
-    """Fit the flow directly to the state rows (no windows, no encoder)."""
-    from .training import ArrayDataset
-
-    states = np.concatenate([tr.states for tr in ts.trajectories], axis=0)
+        # Fit the flow directly to the state rows (no windows, no encoder).
+        data = ArrayDataset(np.concatenate([tr.states for tr in ts.trajectories], axis=0))
+        data_dim, context_features, encoder = data.targets.shape[1], 0, None
+    else:
+        data = _windows_from_args(ts, args)
+        data_dim, context_features = data.target_dim, args.context_features
+        encoder = build_encoder(EncoderConfig(
+            kind=args.encoder,
+            input_dim=data.obs_dim,
+            embed_dim=args.context_features,
+            model_dim=args.model_dim,
+            n_encoder_layers=args.encoder_layers,
+            n_decoder_layers=args.decoder_layers,
+            n_heads=args.heads,
+            ff_dim=args.ff_dim,
+            ssm_state_dim=args.ssm_state_dim,
+            conv_kernel_width=args.conv_width,
+            expansion=args.expansion,
+            mlp_hidden=args.mlp_hidden,
+            window_length=args.window,
+            seed=args.seed,
+        ))
     flow = FlowModel(FlowConfig(
-        data_dim=states.shape[1],
+        data_dim=data_dim,
         n_layers=args.flow_layers,
         hidden_features=args.flow_hidden,
-        context_features=0,
+        context_features=context_features,
         base_hidden_features=args.base_hidden,
         seed=args.seed,
     ))
@@ -280,7 +271,7 @@ def _train_unconditional(args, ts) -> int:
         weights=LossWeights(args.lambda1, args.kinetic_lambda, args.prior_lambda),
         grad_clip=args.grad_clip,
     )
-    ckpt, log = train(ArrayDataset(targets=states), flow, None, cfg)
+    ckpt, log = train(data, flow, encoder, cfg)
     out = _out_path(args.out)
     save_checkpoint(out, ckpt)
     loss_path = _out_path(args.loss_log) if args.loss_log else out.with_suffix(".loss.csv")
@@ -297,19 +288,12 @@ def _train_unconditional(args, ts) -> int:
 def cmd_estimate(args) -> int:
     pred = Predictor.from_checkpoint(args.checkpoint)
     ts = read_dataset(args.dataset)
-    tr = ts[args.traj]
-    step = _parse_at(args.at, tr.t)
-    wc = pred.window_config
-    direction = wc.get("direction", "forward")
-    R = wc.get("R", DEFAULTS["window"]["R"])
-    ctx = _context_from_trajectory(tr, step, R, direction)
-    horizon = wc.get("horizon", 1)
-    tstep = step + horizon if direction == "forward" else step - horizon
+    win = _Window(pred.window_config, ts)
+    tr, _, ctx, tstep = win.locate(args.traj, args.at)
     true_state = None
     if 0 <= tstep < len(tr):
-        dims = wc.get("target_dims") or list(range(tr.states.shape[1]))
-        true_state = tr.states[tstep, dims]
-        if wc.get("include_params") and tr.params:
+        true_state = tr.states[tstep, win.dims]
+        if pred.window_config.get("include_params") and tr.params:
             true_state = np.concatenate(
                 [true_state, [tr.params["beta"], tr.params["gamma"]]]
             )
@@ -324,26 +308,15 @@ def cmd_estimate(args) -> int:
 def cmd_rollout(args) -> int:
     pred = Predictor.from_checkpoint(args.checkpoint)
     ts = read_dataset(args.dataset)
-    tr = ts[args.traj]
-    step = _parse_at(args.start, tr.t)
-    wc = pred.window_config
-    direction = args.direction or wc.get("direction", "forward")
-    R = args.window or wc.get("R", DEFAULTS["window"]["R"])
-    ctx = _context_from_trajectory(tr, step, R, direction)
-    cfg = RolloutConfig(
-        n_steps=args.steps,
-        direction=direction,
-        R=R,
-        horizon=wc.get("horizon", 1),
-        aggregation=args.aggregation,
-        n_samples=args.samples,
-    )
+    win = _Window(pred.window_config, ts, direction=args.direction, R=args.window)
+    _, step, ctx, _ = win.locate(args.traj, args.start)
+    cfg = win.rollout_config(args.steps, args.aggregation, args.samples)
     reports = pred.rollout(ctx, cfg, seed=args.seed)
     out = _out_path(args.out)
     write_rollout_bands(reports, out)
     summary = {
         "n_steps": len(reports),
-        "direction": direction,
+        "direction": win.direction,
         "start_step": step,
         "mean_trajectory": [r.mean.tolist() for r in reports],
     }
@@ -354,29 +327,20 @@ def cmd_rollout(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ts = read_dataset(args.dataset)
-    rng = np.random.default_rng(args.seed)
     names, columns = [], []
     for ckpt_path in args.checkpoints:
         pred = Predictor.from_checkpoint(ckpt_path)
-        wc = pred.window_config
-        direction = wc.get("direction", "forward")
-        R = wc.get("R", DEFAULTS["window"]["R"])
-        horizon = wc.get("horizon", 1)
-        dims = wc.get("target_dims") or list(range(ts[0].states.shape[1]))
+        win = _Window(pred.window_config, ts)
+        dims = win.dims
         loc_rng = np.random.default_rng(args.seed)  # identical locations per checkpoint
         values = []
         if args.metric in ("kl", "nll"):
             noise = float(ts.meta.get("noise_sigma", 1e-3)) or 1e-3
             per_dim_acc = []
             for _ in range(args.locations):
-                tr = ts[int(loc_rng.integers(0, len(ts)))]
-                if direction == "forward":
-                    lo, hi = R - 1, len(tr) - horizon - 1
-                else:
-                    lo, hi = horizon, len(tr) - R
-                step = int(loc_rng.integers(lo, hi + 1))
-                ctx = _context_from_trajectory(tr, step, R, direction)
-                tstep = step + horizon if direction == "forward" else step - horizon
+                traj = int(loc_rng.integers(0, len(ts)))
+                lo, hi = win.step_range(len(ts[traj]))
+                tr, _, ctx, tstep = win.locate(traj, int(loc_rng.integers(lo, hi + 1)))
                 truth_state = tr.states[tstep, dims]
                 rep = pred.estimate_state(
                     ctx, n_samples=args.samples,
@@ -395,18 +359,11 @@ def cmd_evaluate(args) -> int:
                     per_dim_acc.append(per_dimension_nll(state_samples, truth_state))
             values = np.mean(per_dim_acc, axis=0).tolist()
         else:  # mape via rollout against the dataset
-            tr = ts[args.traj]
-            step = _parse_at(args.start, tr.t) if args.start else R - 1
-            ctx = _context_from_trajectory(tr, step, R, direction)
-            cfg = RolloutConfig(
-                n_steps=args.steps, direction=direction, R=R, horizon=horizon,
-                aggregation="mean", n_samples=args.samples,
-            )
+            tr, step, ctx, _ = win.locate(args.traj, args.start or win.R - 1)
+            cfg = win.rollout_config(args.steps, "mean", args.samples)
             reports = pred.rollout(ctx, cfg, seed=args.seed)
             preds = np.array([r.mean[: len(dims)] for r in reports])
-            sign = 1 if direction == "forward" else -1
-            steps = step + sign * horizon * (np.arange(len(reports)) + 1)
-            actual = tr.states[steps][:, dims]
+            actual = tr.states[win.target_step(step, np.arange(len(reports)) + 1)][:, dims]
             values = [mape(preds[:, j], actual[:, j]) for j in range(len(dims))]
         names.append(Path(ckpt_path).stem)
         columns.append(values)

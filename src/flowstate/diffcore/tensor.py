@@ -185,9 +185,6 @@ class Tape:
     def n_ops(self) -> int:
         return len(self._ops)
 
-    def backward(self, loss: Tensor, params: Iterable[Tensor] = ()) -> None:
-        backward(loss, params=params)
-
 
 def _record(out_data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     out = Tensor(out_data)
@@ -358,7 +355,7 @@ def elementwise(op_kind: str, a: Tensor, b: Tensor | None = None, *, const: floa
         ad = a.data
         out = _expm1x_value(ad)
         bw = lambda g: (g * _expm1x_grad(ad),)
-    elif op_kind in ("scale", "scale-by-constant"):
+    elif op_kind == "scale":
         if const is None:
             raise DiffcoreError("scale requires const")
         c = float(const)

@@ -73,9 +73,6 @@ class LuLinear:
     def inverse_np(self, y: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.weight_np().T, y.T).T
 
-    def det_witness(self) -> float:
-        return float(np.exp(self.log_diag.data.sum()))
-
 
 class AffineAutoregressive:
     """Masked affine transform u_i = (x_i - shift_i(x_<i, c)) exp(-a_i(x_<i, c))."""

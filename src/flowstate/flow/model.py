@@ -103,6 +103,16 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+def base_log_prob(z: Tensor, mu: Tensor, log_sigma: Tensor) -> Tensor:
+    """Row-wise log N(z; mu, diag(exp(log_sigma))^2) of a [B, d] batch."""
+    u = dc.mul(dc.sub(z, mu), dc.exp(dc.neg(log_sigma)))
+    quad = dc.scale(dc.mul(u, u).sum(axis=1), -0.5)
+    # Broadcast-safe sum of log sigma per row.
+    sig_sum = dc.mul(log_sigma, Tensor(np.ones_like(z.data))).sum(axis=1)
+    const = -0.5 * z.shape[1] * _LOG_2PI
+    return dc.add(dc.sub(quad, sig_sum), Tensor(const))
+
+
 class FlowModel:
     def __init__(self, config: FlowConfig):
         self.config = config
@@ -148,14 +158,6 @@ class FlowModel:
             return zeros, zeros
         return self.base_head(_as_tensor(context))
 
-    def _base_log_prob(self, z: Tensor, mu: Tensor, log_sigma: Tensor) -> Tensor:
-        u = dc.mul(dc.sub(z, mu), dc.exp(dc.neg(log_sigma)))
-        quad = dc.scale(dc.mul(u, u).sum(axis=1), -0.5)
-        # Broadcast-safe sum of log sigma per row.
-        sig_sum = dc.mul(log_sigma, Tensor(np.ones_like(z.data))).sum(axis=1)
-        const = -0.5 * self.data_dim * _LOG_2PI
-        return dc.add(dc.sub(quad, sig_sum), Tensor(const))
-
     # -- maps --------------------------------------------------------------
 
     def forward_map(self, x, context=None) -> tuple[Tensor, Tensor, list[Tensor]]:
@@ -182,8 +184,10 @@ class FlowModel:
         z = np.asarray(z, dtype=np.float64)
         ctx = self._tile_context(context, z.shape[0])
         h = z
-        for layer in reversed(self.layers):
-            h = layer.inverse_np(h, ctx)
+        for i in reversed(range(len(self.layers))):
+            h = self.layers[i].inverse_np(h, ctx)
+            if not np.all(np.isfinite(h)):
+                raise NonFiniteOutputError(f"non-finite output at inverse layer {i}")
         return h
 
     def _tile_context(self, context, n: int) -> np.ndarray | None:
@@ -201,7 +205,7 @@ class FlowModel:
     def log_prob(self, x, context=None) -> DensityValue:
         z, log_det, outputs = self.forward_map(x, context)
         mu, log_sigma = self.base_params(context)
-        lp = dc.add(self._base_log_prob(z, mu, log_sigma), log_det)
+        lp = dc.add(base_log_prob(z, mu, log_sigma), log_det)
         return DensityValue(lp, outputs, z, mu, log_sigma)
 
     def sample(self, n: int, context=None, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:

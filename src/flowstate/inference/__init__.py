@@ -7,7 +7,7 @@ from .estimators import (
     RolloutConfig,
     write_rollout_bands,
 )
-from .kl import DegenerateDistanceError, InsufficientSamplesError, KlConfig, kl_knn
+from .kl import DegenerateDistanceError, InsufficientSamplesError, kl_knn
 from .metrics import (
     ZeroDenominatorError,
     kde_log_density,
@@ -22,7 +22,6 @@ __all__ = [
     "DegenerateDistanceError",
     "EstimateReport",
     "InsufficientSamplesError",
-    "KlConfig",
     "Predictor",
     "RolloutConfig",
     "ZeroDenominatorError",

@@ -142,10 +142,13 @@ class Predictor:
         d = self.flow.config.data_dim
         return d - 2 if self.window_config.get("include_params") else d
 
-    def embed_context(self, context_raw: np.ndarray) -> np.ndarray:
+    def embed_context(self, context_raw: np.ndarray) -> np.ndarray | None:
+        """Encoder embedding of one raw [R, m] window; None for an unconditional flow."""
         ctx = np.asarray(context_raw, dtype=np.float64)
         if ctx.ndim != 2:
             raise ContextDimensionError(f"context must be [R, m], got {ctx.shape}")
+        if self.encoder is None:
+            return None
         normed = self.norm.normalize_obs(ctx)
         emb = self.encoder.embed(Tensor(normed[None, :, :]))
         return emb.data[0]
@@ -216,6 +219,13 @@ class Predictor:
         if trained_dir and trained_dir != config.direction:
             raise ValueError(
                 f"model was trained for {trained_dir} estimation, not {config.direction}"
+            )
+        # A prediction fed back as the next row is one step on; a model trained
+        # further ahead would leave the window with mixed row spacings.
+        horizon = self.window_config.get("horizon", 1)
+        if horizon != 1:
+            raise ValueError(
+                f"rollout needs a model trained for horizon 1, not horizon {horizon}"
             )
         m = window.shape[1]
         # Step 0 reuses the caller's seed so a 1-step rollout reproduces

@@ -10,8 +10,6 @@ see the test suite's Gaussian oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -22,15 +20,6 @@ class InsufficientSamplesError(ValueError):
 
 class DegenerateDistanceError(ValueError):
     pass
-
-
-@dataclass
-class KlConfig:
-    k: int = 1
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
 
 def kl_knn(samples_p_hat: np.ndarray, samples_p: np.ndarray, k: int = 1) -> float:

@@ -8,36 +8,24 @@ from pathlib import Path
 
 import numpy as np
 
-from ..checkpoint import checkpoint_dict
+from ..checkpoint import checkpoint_dict, model_parameters
 from ..diffcore import Tape, Tensor, backward
 from .losses import LossWeights, NonFiniteLossError, total_loss
 from .optimizer import AdamConfig, AdamState, adam_step
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(AdamConfig):
+    """Loop settings on top of the Adam settings it passes to adam_step."""
+
     iterations: int = 10_000
     batch_size: int = 2048
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
-    grad_clip: float = 10.0
 
     def __post_init__(self):
         if self.iterations < 0 or self.batch_size < 1 or self.learning_rate <= 0:
             raise ValueError("iterations >= 0, batch_size >= 1, learning_rate > 0")
-
-    def adam(self) -> AdamConfig:
-        return AdamConfig(
-            learning_rate=self.learning_rate,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-            grad_clip=self.grad_clip,
-        )
 
 
 @dataclass
@@ -101,13 +89,10 @@ def train(dataset, flow, encoder, config: TrainConfig):
     contexts = getattr(dataset, "contexts", None)
     targets = dataset.targets
 
-    params: dict[str, Tensor] = dict(flow.parameters())
-    if encoder is not None:
-        params.update(encoder.parameters())
+    params = model_parameters(flow, encoder)
     state = AdamState.init(params)
     rng = np.random.default_rng(config.seed)
     log = TrainLog()
-    adam_cfg = config.adam()
 
     for it in range(config.iterations):
         t0 = time.perf_counter()
@@ -125,7 +110,7 @@ def train(dataset, flow, encoder, config: TrainConfig):
             raise NonFiniteLossError(
                 f"iteration {it}: {e} (dataset rows {offenders[:10]})", e.batch_indices
             ) from None
-        state = adam_step(params, state, adam_cfg)
+        state = adam_step(params, state, config)
         ms = (time.perf_counter() - t0) * 1e3
         log.append(it, parts, ms, _param_norm(params))
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .. import diffcore as dc
 from ..diffcore import Tensor
+from ..flow.model import DensityValue, base_log_prob
 
 
 class NonFiniteLossError(RuntimeError):
@@ -36,22 +37,14 @@ class LossWeights:
             raise ValueError("lambda2 and lambda3 must be nonnegative")
 
 
-def _gaussian_log_prob(z: Tensor, mu: Tensor, log_sigma: Tensor) -> Tensor:
-    d = z.shape[1]
-    u = dc.mul(dc.sub(z, mu), dc.exp(dc.neg(log_sigma)))
-    quad = dc.scale(dc.mul(u, u).sum(axis=1), -0.5)
-    sig_sum = dc.mul(log_sigma, Tensor(np.ones_like(z.data))).sum(axis=1)
-    return dc.add(dc.sub(quad, sig_sum), Tensor(-0.5 * d * np.log(2.0 * np.pi)))
-
-
 def _embed(encoder, contexts):
     if encoder is None or contexts is None:
         return None
     return encoder.embed(contexts)
 
 
-def nll_term(flow, encoder, batch) -> Tensor:
-    """Batch mean of -log p(target | embed(context))."""
+def _nll(flow, encoder, batch) -> tuple[Tensor, DensityValue]:
+    """Batch mean of -log p(target | embed(context)), and the density it came from."""
     contexts, targets = batch
     dv = flow.log_prob(targets, _embed(encoder, contexts))
     lp = dv.log_prob
@@ -60,7 +53,12 @@ def nll_term(flow, encoder, batch) -> Tensor:
         raise NonFiniteLossError(
             f"non-finite log-likelihood at batch indices {bad[:10].tolist()}", bad
         )
-    return dc.neg(lp.mean())
+    return dc.neg(lp.mean()), dv
+
+
+def nll_term(flow, encoder, batch) -> Tensor:
+    """Batch mean of -log p(target | embed(context))."""
+    return _nll(flow, encoder, batch)[0]
 
 
 def kinetic_term(per_layer_outputs) -> Tensor:
@@ -86,7 +84,7 @@ def prior_term(per_layer_outputs, base: tuple[Tensor, Tensor]) -> Tensor:
     mu, log_sigma = base
     acc = None
     for out in per_layer_outputs[:-1]:
-        neg_lp = dc.neg(_gaussian_log_prob(out, mu, log_sigma).mean())
+        neg_lp = dc.neg(base_log_prob(out, mu, log_sigma).mean())
         acc = neg_lp if acc is None else dc.add(acc, neg_lp)
     return dc.scale(acc, 1.0 / (L - 1))
 
@@ -97,16 +95,7 @@ def total_loss(flow, encoder, batch, weights: LossWeights) -> tuple[Tensor, dict
     All three terms are evaluated (they are logged even at zero weight) but
     zero-weight terms stay out of the optimized total.
     """
-    contexts, targets = batch
-    ctx = _embed(encoder, contexts)
-    dv = flow.log_prob(targets, ctx)
-    lp = dv.log_prob
-    bad = np.flatnonzero(~np.isfinite(lp.data))
-    if bad.size:
-        raise NonFiniteLossError(
-            f"non-finite log-likelihood at batch indices {bad[:10].tolist()}", bad
-        )
-    nll = dc.neg(lp.mean())
+    nll, dv = _nll(flow, encoder, batch)
     n_layers = len(dv.per_layer_outputs)
     if n_layers >= 2:
         kin = kinetic_term(dv.per_layer_outputs)

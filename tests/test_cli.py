@@ -12,6 +12,11 @@ def run(*argv):
     return main(list(argv))
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 @pytest.fixture
 def sir_dataset(tmp_path):
     out = tmp_path / "sir.csv"
@@ -149,6 +154,22 @@ class TestTrain:
         assert extra["iterations"] == 2
         assert extra["batch_size"] == 8
 
+    def test_unconditional_checkpoint_estimates(self, tmp_path):
+        moons, ckpt = tmp_path / "moons.csv", tmp_path / "moons.json"
+        assert run(
+            "simulate", "--system", "two-moons", "--count", "200", "--seed", "2",
+            "--out", str(moons),
+        ) == 0
+        assert run(
+            "train", "--dataset", str(moons), "--out", str(ckpt), "--unconditional",
+            "--iterations", "5", "--batch-size", "32", "--flow-layers", "2",
+        ) == 0
+        assert run(
+            "estimate", "--checkpoint", str(ckpt), "--dataset", str(moons),
+            "--at", "10", "--samples", "50", "--out", str(tmp_path / "est"),
+        ) == 0
+        assert (tmp_path / "est_samples.csv").exists()
+
     def test_unknown_config_file_key_exits_2(self, tmp_path, sir_dataset, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("sigma-vee = 1\n")
@@ -218,6 +239,38 @@ class TestEstimateRolloutEvaluate:
             "--out", str(out),
         ) == 0
         assert out.exists()
+
+    def test_rollout_refuses_horizon_other_than_one(self, tmp_path, sir_dataset, capsys):
+        ckpt = tmp_path / "h2.json"
+        assert run(
+            "train", "--dataset", str(sir_dataset), "--out", str(ckpt),
+            "--iterations", "2", "--batch-size", "8", "--horizon", "2",
+            "--flow-layers", "2", "--mlp-hidden", "8", "--context-noise", "0",
+        ) == 0
+        capsys.readouterr()
+        assert run(
+            "rollout", "--checkpoint", str(ckpt), "--dataset", str(sir_dataset),
+            "--start", "20", "--steps", "2", "--samples", "16",
+            "--out", str(tmp_path / "bands.csv"),
+        ) == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("traj", ["99", "-1"])
+    @pytest.mark.parametrize("verb", [
+        ["estimate", "--at", "20"],
+        ["rollout", "--start", "20", "--steps", "2"],
+        ["evaluate", "--metric", "mape", "--start", "20", "--steps", "2"],
+    ], ids=["estimate", "rollout", "evaluate-mape"])
+    def test_traj_out_of_range_exits_2(
+        self, tmp_path, sir_dataset, tiny_checkpoint, capsys, verb, traj
+    ):
+        ckpt_flag = "--checkpoints" if verb[0] == "evaluate" else "--checkpoint"
+        capsys.readouterr()
+        assert run(
+            *verb, ckpt_flag, str(tiny_checkpoint), "--dataset", str(sir_dataset),
+            "--traj", traj, "--samples", "16", "--out", str(tmp_path / "out"),
+        ) == 2
+        assert_one_error_line(capsys)
 
 
 class TestShowConfig:

@@ -120,6 +120,14 @@ class TestInverseMap:
         np.testing.assert_allclose(model.inverse_map(z_hand), x_hand, atol=1e-12)
         np.testing.assert_allclose(x_hand, x, atol=1e-12)
 
+    def test_non_finite_reports_inverse_layer(self):
+        model = _flow(n_layers=2)
+        _set_pure_scale(model, 800.0)  # the inverse multiplies by exp(800)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteOutputError, match="inverse layer 1"
+        ):
+            model.sample(4, seed=0)
+
 
 class TestLogProb:
     def test_zero_layer_standard_base_at_origin(self):

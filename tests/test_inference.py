@@ -115,7 +115,7 @@ class TestMeanNll:
             mean_nll(flow, None, [])
 
 
-def _predictor(d=2, m=2, R=3, include_params=False, seed=0):
+def _predictor(d=2, m=2, R=3, include_params=False, seed=0, horizon=1):
     ctx_feats = 4
     flow = FlowModel(
         FlowConfig(data_dim=d, n_layers=2, hidden_features=4,
@@ -131,7 +131,7 @@ def _predictor(d=2, m=2, R=3, include_params=False, seed=0):
         target_mean=np.zeros(d), target_std=np.ones(d),
     )
     window = {
-        "direction": "forward", "R": R, "horizon": 1,
+        "direction": "forward", "R": R, "horizon": horizon,
         "include_params": include_params, "context_noise_sigma": 0.0,
         "target_dims": list(range(min(d, m))),
     }
@@ -207,6 +207,12 @@ class TestRollout:
         pred = _predictor()
         cfg = RolloutConfig(n_steps=1, R=3, direction="backward")
         with pytest.raises(ValueError, match="forward"):
+            pred.rollout(np.zeros((3, 2)), cfg, seed=9)
+
+    def test_horizon_other_than_one_rejected(self):
+        pred = _predictor(horizon=30)
+        cfg = RolloutConfig(n_steps=1, R=3)
+        with pytest.raises(ValueError, match="horizon 30"):
             pred.rollout(np.zeros((3, 2)), cfg, seed=9)
 
     def test_sampled_aggregation_deterministic(self):
