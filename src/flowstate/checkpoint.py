@@ -66,8 +66,11 @@ def save_checkpoint(path, checkpoint: dict) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    ckpt = json.loads(Path(path).read_text())
-    if ckpt.get("format") != FORMAT:
+    try:
+        ckpt = json.loads(Path(path).read_text())
+    except ValueError as e:
+        raise CheckpointError(f"{path}: not a JSON checkpoint ({e})") from None
+    if not isinstance(ckpt, dict) or ckpt.get("format") != FORMAT:
         raise CheckpointError(f"{path}: not a {FORMAT} file")
     if ckpt.get("version") != VERSION:
         raise CheckpointError(f"{path}: unsupported version {ckpt.get('version')}")

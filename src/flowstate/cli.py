@@ -24,6 +24,7 @@ from .dynamics import (
     SirParams,
     SirState,
     TrajectorySet,
+    Window,
     ingest_external_sir,
     make_windows,
     read_dataset,
@@ -61,15 +62,14 @@ DEFAULTS = {
         **_defaults(TrainConfig, "iterations", "batch_size", "learning_rate", "grad_clip"),
         **_defaults(LossWeights, "lambda1", "lambda2", "lambda3"),
     },
-    "window": {"R": 5, "horizon": 1, "context_noise_sigma": 1.0},
+    "window": {**_defaults(Window, "R", "horizon"), "context_noise_sigma": 1.0},
     "vehicle": _defaults(VehicleParams, "dt", "switch_time", "sigma_v", "sigma_phi", "c1", "c2"),
     "sir": {**_defaults(SirParams, "beta", "gamma", "noise_sigma", "dt"),
             "s0": 0.99, "i0": 0.01, "r0": 0.0},
     "sir_ensemble": {"beta_range": [0.02, 0.04], "gamma_range": [0.005, 0.025]},
     "kl": _defaults(kl_knn, "k"),
     "estimate": _defaults(Predictor.estimate_state, "n_samples"),
-    "rollout": {**_defaults(RolloutConfig, "aggregation", "n_samples"),
-                "window_sizes_days": [7, 28]},
+    "rollout": _defaults(RolloutConfig, "aggregation", "n_samples"),
 }
 
 
@@ -118,51 +118,25 @@ def _parse_at(spec: str, t: np.ndarray) -> int:
     return int(spec)
 
 
-class _Window:
-    """A checkpoint's window settings laid on a dataset: the context at a
-    trajectory step and the step it predicts."""
-
-    def __init__(self, window_config: dict, ts, direction=None, R=None):
-        self.ts = ts
-        self.direction = direction or window_config.get("direction", "forward")
-        self.R = R or window_config.get("R", DEFAULTS["window"]["R"])
-        self.horizon = window_config.get("horizon", 1)
-        self.dims = window_config.get("target_dims") or list(range(ts[0].states.shape[1]))
-
-    def step_range(self, n: int) -> tuple[int, int]:
-        """First and last step of an n-row trajectory with room for a context and its target."""
-        if self.direction == "forward":
-            return self.R - 1, n - self.horizon - 1
-        return self.horizon, n - self.R
-
-    def target_step(self, step, k=1):
-        """The step predicted k horizons on from the context at ``step``."""
-        sign = 1 if self.direction == "forward" else -1
-        return step + sign * self.horizon * k
-
-    def locate(self, traj: int, at) -> tuple[Trajectory, int, np.ndarray, int]:
-        """(trajectory, step, context, target step); ``at`` is a step or a t=/idx= spec."""
-        if not 0 <= traj < len(self.ts):
-            raise ConfigError(f"--traj {traj} outside [0, {len(self.ts)})")
-        tr = self.ts[traj]
-        step = at if isinstance(at, int) else _parse_at(at, tr.t)
-        if self.direction == "forward":
-            lo = step - self.R + 1
-            if lo < 0 or step >= len(tr):
-                raise ConfigError(f"step {step} leaves no room for an R={self.R} forward context")
-            ctx = tr.obs[lo : step + 1].copy()
-        else:
-            hi = step + self.R
-            if step < 0 or hi > len(tr):
-                raise ConfigError(f"step {step} leaves no room for an R={self.R} backward context")
-            ctx = tr.obs[step:hi][::-1].copy()
-        return tr, step, ctx, self.target_step(step)
-
-    def rollout_config(self, n_steps: int, aggregation: str, n_samples: int) -> RolloutConfig:
-        return RolloutConfig(
-            n_steps=n_steps, direction=self.direction, R=self.R, horizon=self.horizon,
-            aggregation=aggregation, n_samples=n_samples,
-        )
+def _locate(win: Window, ts, traj: int, at, n_targets: int = 0):
+    """(trajectory, anchor, raw context, target steps 1..n_targets) of a
+    window laid on trajectory ``traj``; ``at`` is a step or a t=/idx= spec.
+    A trajectory, context row or target step off the dataset is a
+    configuration error."""
+    if not 0 <= traj < len(ts):
+        raise ConfigError(f"--traj {traj} outside [0, {len(ts)})")
+    tr = ts[traj]
+    anchor = at if isinstance(at, int) else _parse_at(at, tr.t)
+    rows = win.rows(anchor)
+    targets = win.target_step(anchor, np.arange(1, n_targets + 1))
+    for what, steps in (("context row", rows), ("target step", targets)):
+        off = steps[(steps < 0) | (steps >= len(tr))]
+        if off.size:
+            raise ConfigError(
+                f"step {anchor}: {win.direction} R={win.R} {what} {off[0]} "
+                f"outside trajectory {traj} [0, {len(tr)})"
+            )
+    return tr, anchor, tr.obs[rows], targets
 
 
 # -- subcommands -------------------------------------------------------------
@@ -288,15 +262,10 @@ def cmd_train(args) -> int:
 def cmd_estimate(args) -> int:
     pred = Predictor.from_checkpoint(args.checkpoint)
     ts = read_dataset(args.dataset)
-    win = _Window(pred.window_config, ts)
-    tr, _, ctx, tstep = win.locate(args.traj, args.at)
-    true_state = None
-    if 0 <= tstep < len(tr):
-        true_state = tr.states[tstep, win.dims]
-        if pred.window_config.get("include_params") and tr.params:
-            true_state = np.concatenate(
-                [true_state, [tr.params["beta"], tr.params["gamma"]]]
-            )
+    win = pred.window
+    tr, anchor, ctx, _ = _locate(win, ts, args.traj, args.at)
+    tstep = win.target_step(anchor)
+    true_state = win.target(tr, tstep) if 0 <= tstep < len(tr) else None
     rep = pred.estimate_state(
         ctx, n_samples=args.samples, seed=args.seed, true_state=true_state
     )
@@ -308,9 +277,9 @@ def cmd_estimate(args) -> int:
 def cmd_rollout(args) -> int:
     pred = Predictor.from_checkpoint(args.checkpoint)
     ts = read_dataset(args.dataset)
-    win = _Window(pred.window_config, ts, direction=args.direction, R=args.window)
-    _, step, ctx, _ = win.locate(args.traj, args.start)
-    cfg = win.rollout_config(args.steps, args.aggregation, args.samples)
+    win = pred.window
+    _, step, ctx, _ = _locate(win, ts, args.traj, args.start)
+    cfg = RolloutConfig(args.steps, win.direction, win.R, win.horizon, args.aggregation, args.samples)
     reports = pred.rollout(ctx, cfg, seed=args.seed)
     out = _out_path(args.out)
     write_rollout_bands(reports, out)
@@ -330,8 +299,8 @@ def cmd_evaluate(args) -> int:
     names, columns = [], []
     for ckpt_path in args.checkpoints:
         pred = Predictor.from_checkpoint(ckpt_path)
-        win = _Window(pred.window_config, ts)
-        dims = win.dims
+        win = pred.window
+        dims = win.dims(ts[0].states.shape[1])
         loc_rng = np.random.default_rng(args.seed)  # identical locations per checkpoint
         values = []
         if args.metric in ("kl", "nll"):
@@ -339,8 +308,8 @@ def cmd_evaluate(args) -> int:
             per_dim_acc = []
             for _ in range(args.locations):
                 traj = int(loc_rng.integers(0, len(ts)))
-                lo, hi = win.step_range(len(ts[traj]))
-                tr, _, ctx, tstep = win.locate(traj, int(loc_rng.integers(lo, hi + 1)))
+                lo, hi = win.anchor_range(len(ts[traj]))
+                tr, _, ctx, (tstep,) = _locate(win, ts, traj, int(loc_rng.integers(lo, hi + 1)), 1)
                 truth_state = tr.states[tstep, dims]
                 rep = pred.estimate_state(
                     ctx, n_samples=args.samples,
@@ -359,11 +328,11 @@ def cmd_evaluate(args) -> int:
                     per_dim_acc.append(per_dimension_nll(state_samples, truth_state))
             values = np.mean(per_dim_acc, axis=0).tolist()
         else:  # mape via rollout against the dataset
-            tr, step, ctx, _ = win.locate(args.traj, args.start or win.R - 1)
-            cfg = win.rollout_config(args.steps, "mean", args.samples)
+            tr, _, ctx, steps = _locate(win, ts, args.traj, args.start or win.R - 1, args.steps)
+            cfg = RolloutConfig(args.steps, win.direction, win.R, win.horizon, "mean", args.samples)
             reports = pred.rollout(ctx, cfg, seed=args.seed)
             preds = np.array([r.mean[: len(dims)] for r in reports])
-            actual = tr.states[win.target_step(step, np.arange(len(reports)) + 1)][:, dims]
+            actual = tr.states[steps][:, dims]
             values = [mape(preds[:, j], actual[:, j]) for j in range(len(dims))]
         names.append(Path(ckpt_path).stem)
         columns.append(values)
@@ -476,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     ro.add_argument("--start", required=True, help="t=<time>, idx=<step>, or <step>")
     ro.add_argument("--traj", type=int, default=0)
     ro.add_argument("--steps", type=int, required=True)
-    ro.add_argument("--window", type=int, default=None)
-    ro.add_argument("--direction", choices=["forward", "backward"], default=None)
     ro.add_argument("--aggregation", choices=["mean", "sample"],
                     default=DEFAULTS["rollout"]["aggregation"])
     ro.add_argument("--samples", type=int, default=DEFAULTS["rollout"]["n_samples"])

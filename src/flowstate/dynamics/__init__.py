@@ -5,7 +5,7 @@ from .moons import arc_distances, two_moons
 from .sir import InitialConditionError, SirParams, SirState, rk4_step, sir_ensemble, sir_rhs, sir_simulate
 from .trajectory import Normalization, Trajectory, TrajectorySet
 from .vehicle import VehicleParams, VehicleState, vehicle_continuations, vehicle_simulate, vehicle_step
-from .windows import TrajectoryTooShortError, WindowedDataset, make_windows
+from .windows import TrajectoryTooShortError, Window, WindowedDataset, make_windows
 
 __all__ = [
     "InitialConditionError",
@@ -18,6 +18,7 @@ __all__ = [
     "TrajectoryTooShortError",
     "VehicleParams",
     "VehicleState",
+    "Window",
     "WindowedDataset",
     "arc_distances",
     "ingest_external_sir",

@@ -75,11 +75,16 @@ def read_dataset(path) -> TrajectorySet:
     meta = {}
     sc = sidecar_path(path)
     if sc.exists():
-        meta = json.loads(sc.read_text())
+        try:
+            meta = json.loads(sc.read_text())
+        except ValueError as e:
+            raise SchemaError(f"{sc}: not a JSON sidecar ({e})") from None
     text = path.read_text().strip().split("\n")
     header = text[0].split(",")
     if header[:3] != ["traj_id", "step", "t"]:
-        raise SchemaError(f"unexpected header {header[:3]}, want traj_id,step,t")
+        raise SchemaError(f"{path}:1: unexpected header {header[:3]}, want traj_id,step,t")
+    if len(text) < 2:
+        raise SchemaError(f"{path}:1: a header and no data rows")
     obs_cols = meta.get("obs_columns") or [c for c in header if c.startswith("obs_")]
     has_params = header[-2:] == ["beta", "gamma"]
     n_obs = len(obs_cols)
@@ -87,7 +92,16 @@ def read_dataset(path) -> TrajectorySet:
     state_end = len(header) - (2 if has_params else 0)
     state_cols = header[state_start:state_end]
 
-    data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
+    try:
+        data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
+    except ValueError:
+        data = None  # a ragged or non-numeric row; _bad_row names it
+    if data is None or data.shape[1] != len(header):
+        raise SchemaError(_bad_row(path, header, text))
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise SchemaError(f"{path}:{row + 2}: non-finite {header[col]} value")
     system = meta.get("system", "unknown")
     trajectories = []
     for tid in np.unique(data[:, 0]).astype(int):
@@ -109,6 +123,20 @@ def read_dataset(path) -> TrajectorySet:
     meta.setdefault("obs_columns", obs_cols)
     meta.setdefault("state_columns", state_cols)
     return TrajectorySet(trajectories, meta)
+
+
+def _bad_row(path, header: list[str], text: list[str]) -> str:
+    """Where the first row that does not parse into the header's columns is."""
+    for ln, line in enumerate(text[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != len(header):
+            return f"{path}:{ln}: {len(fields)} fields, the header has {len(header)}"
+        for name, v in zip(header, fields):
+            try:
+                float(v)
+            except ValueError:
+                return f"{path}:{ln}: {name} value {v!r} is not a number"
+    return f"{path}: rows do not match the header"
 
 
 def ingest_external_sir(src_path, out_path=None) -> TrajectorySet:

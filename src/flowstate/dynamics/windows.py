@@ -7,28 +7,89 @@ top of whatever observation noise the simulator already applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .trajectory import Normalization, TrajectorySet
+from .trajectory import Normalization, Trajectory, TrajectorySet
 
 
 class TrajectoryTooShortError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class Window:
+    """Where a context and its target sit on a trajectory.
+
+    A window is keyed by its anchor, the step of its last stored row.
+    Forward windows store (o_{a-R+1} .. o_a) and target the state at
+    a + horizon; backward windows store rows in reversed time order,
+    (o_{a+R-1} .. o_a), and target the state at a - horizon.
+    """
+
+    R: int = 5
+    direction: str = "forward"      # "forward" | "backward"
+    horizon: int = 1
+    include_params: bool = False
+    context_noise_sigma: float = 0.0
+    target_dims: tuple[int, ...] | None = None  # None: every state dimension
+
+    def __post_init__(self):
+        if self.direction not in ("forward", "backward"):
+            raise ValueError(f"unknown direction {self.direction!r}")
+        if self.R < 1 or self.horizon < 1:
+            raise ValueError("R and horizon must be >= 1")
+        dims = tuple(int(i) for i in self.target_dims or ()) or None
+        object.__setattr__(self, "target_dims", dims)
+
+    @property
+    def sign(self) -> int:
+        return 1 if self.direction == "forward" else -1
+
+    def anchor_range(self, n: int) -> tuple[int, int]:
+        """First and last anchor of an n-row trajectory whose context rows and
+        target step all lie on it (last < first when there is none)."""
+        offsets = (-self.sign * (self.R - 1), self.sign * self.horizon)
+        return -min(offsets), n - 1 - max(offsets)
+
+    def rows(self, anchors) -> np.ndarray:
+        """Context row indices of each anchor, in stored order: [..., R]."""
+        return np.asarray(anchors)[..., None] - self.sign * np.arange(self.R - 1, -1, -1)
+
+    def target_step(self, anchors, k=1):
+        """The step predicted k horizons on from the context at ``anchors``."""
+        return anchors + self.sign * self.horizon * k
+
+    def dims(self, n_state: int) -> list[int]:
+        return list(self.target_dims or range(n_state))
+
+    def target(self, tr: Trajectory, steps) -> np.ndarray:
+        """Raw target rows at ``steps``: the target dims of the state, then
+        (beta, gamma) when parameters are targets too."""
+        tgt = tr.states[:, self.dims(tr.states.shape[1])][steps]
+        if not self.include_params:
+            return tgt
+        if not tr.params or "beta" not in tr.params:
+            raise ValueError(f"include_params: trajectory {tr.traj_id} carries no (beta, gamma)")
+        pv = np.broadcast_to([tr.params["beta"], tr.params["gamma"]], tgt.shape[:-1] + (2,))
+        return np.concatenate([tgt, pv], axis=-1)
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "target_dims": list(self.target_dims or ())}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Window":
+        """A checkpoint's ``window_config``; missing keys take the defaults."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+
+
 @dataclass
 class WindowedDataset:
     contexts: np.ndarray            # [N, R, m], normalized (+ context noise)
     targets: np.ndarray             # [N, d], normalized
-    direction: str                  # "forward" | "backward"
-    R: int
-    horizon: int
-    include_params: bool
-    context_noise_sigma: float
+    window: Window
     norm: Normalization
-    target_dims: tuple[int, ...]
     traj_index: np.ndarray          # [N] source trajectory
     anchor: np.ndarray              # [N] step index of the last context row
     target_step: np.ndarray         # [N] step index of the target
@@ -46,14 +107,7 @@ class WindowedDataset:
         return self.targets.shape[1]
 
     def window_config(self) -> dict:
-        return {
-            "direction": self.direction,
-            "R": self.R,
-            "horizon": self.horizon,
-            "include_params": self.include_params,
-            "context_noise_sigma": self.context_noise_sigma,
-            "target_dims": list(self.target_dims),
-        }
+        return self.window.to_dict()
 
 
 def make_windows(
@@ -66,79 +120,39 @@ def make_windows(
     seed: int = 0,
     target_dims: tuple[int, ...] | None = None,
 ) -> WindowedDataset:
-    """Slice every trajectory into R-row contexts with offset targets.
+    """Slice every trajectory into the (context, target) pairs of a Window.
 
-    Forward windows pair (o_n .. o_{n+R-1}) with the state at
-    n+R-1+horizon.  Backward windows store rows in reversed time order,
-    (o_n, o_{n-1}, .., o_{n-R+1}), and target the state at n-R+1-horizon.
     Each trajectory yields len - R - horizon + 1 windows.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if R < 1 or horizon < 1:
-        raise ValueError("R and horizon must be >= 1")
-    if include_params and any(
-        tr.params is None or "beta" not in tr.params for tr in ts.trajectories
-    ):
-        raise ValueError("include_params requires (beta, gamma)-tagged trajectories")
-
     if target_dims is None:
-        target_dims = tuple(range(ts.trajectories[0].states.shape[1]))
-    target_dims = tuple(int(i) for i in target_dims)
+        target_dims = range(ts.trajectories[0].states.shape[1])
+    win = Window(R, direction, horizon, include_params, context_noise_sigma, target_dims)
 
-    norm = Normalization.compute(ts, target_dims, include_params)
-
-    ctx_blocks, tgt_blocks = [], []
-    traj_idx, anchors, target_steps = [], [], []
-    for ti, tr in enumerate(ts.trajectories):
-        T = len(tr)
-        n_windows = T - R - horizon + 1
-        if n_windows < 1:
+    anchors = []
+    for tr in ts.trajectories:
+        lo, hi = win.anchor_range(len(tr))
+        if hi < lo:
             raise TrajectoryTooShortError(
-                f"trajectory {tr.traj_id}: length {T} yields no windows "
+                f"trajectory {tr.traj_id}: length {len(tr)} yields no windows "
                 f"for R={R}, horizon={horizon}"
             )
-        obs_n = norm.normalize_obs(tr.obs)
-        sliding = np.lib.stride_tricks.sliding_window_view(obs_n, R, axis=0)
-        sliding = sliding.transpose(0, 2, 1)  # [T-R+1, R, m]
-        if direction == "forward":
-            ctx = sliding[:n_windows]
-            last = np.arange(n_windows) + R - 1
-            tgt_step = last + horizon
-        else:
-            ctx = sliding[horizon:][:, ::-1, :]
-            first_in_time = np.arange(n_windows) + horizon
-            last = first_in_time  # last stored row is the earliest in time
-            tgt_step = first_in_time - horizon
-        states = tr.states[:, list(target_dims)]
-        tgt = states[tgt_step]
-        if include_params:
-            pv = np.array([tr.params["beta"], tr.params["gamma"]])
-            tgt = np.concatenate([tgt, np.tile(pv, (n_windows, 1))], axis=1)
-        ctx_blocks.append(np.ascontiguousarray(ctx))
-        tgt_blocks.append(tgt)
-        traj_idx.append(np.full(n_windows, ti))
-        anchors.append(last)
-        target_steps.append(tgt_step)
-
-    contexts = np.concatenate(ctx_blocks, axis=0)
-    targets_raw = np.concatenate(tgt_blocks, axis=0)
-    targets = norm.normalize_target(targets_raw)
+        anchors.append(np.arange(lo, hi + 1))
+    target_steps = [win.target_step(a) for a in anchors]
+    targets = np.concatenate([win.target(tr, s) for tr, s in zip(ts.trajectories, target_steps)])
+    norm = Normalization.compute(ts, win.target_dims, include_params)
+    contexts = np.concatenate([
+        norm.normalize_obs(tr.obs)[win.rows(a)] for tr, a in zip(ts.trajectories, anchors)
+    ])
     if context_noise_sigma > 0:
         rng = np.random.default_rng(seed)
         contexts = contexts + rng.normal(0.0, context_noise_sigma, contexts.shape)
 
     return WindowedDataset(
         contexts=contexts,
-        targets=targets,
-        direction=direction,
-        R=R,
-        horizon=horizon,
-        include_params=include_params,
-        context_noise_sigma=context_noise_sigma,
+        targets=norm.normalize_target(targets),
+        window=win,
         norm=norm,
-        target_dims=target_dims,
-        traj_index=np.concatenate(traj_idx),
+        traj_index=np.concatenate([np.full(len(a), ti) for ti, a in enumerate(anchors)]),
         anchor=np.concatenate(anchors),
         target_step=np.concatenate(target_steps),
         meta={"source": dict(ts.meta), "seed": seed},

@@ -18,6 +18,7 @@ from ..checkpoint import load_checkpoint, restore_models
 from ..diffcore import Tensor
 from ..dynamics.sir import SirParams, SirState, sir_simulate
 from ..dynamics.trajectory import Normalization
+from ..dynamics.windows import Window
 from .kl import kl_knn
 from .metrics import per_dimension_nll
 
@@ -36,8 +37,6 @@ class RolloutConfig:
             raise ValueError("n_steps must be >= 1")
         if self.aggregation not in ("mean", "sample"):
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError(f"unknown direction {self.direction!r}")
 
 
 @dataclass
@@ -70,7 +69,7 @@ class EstimateReport:
         """JSON summary plus samples (and contours) CSVs; returns paths."""
         stem = Path(stem)
         paths = []
-        j = stem.with_suffix(".json")
+        j = stem.parent / (stem.name + ".json")
         j.write_text(json.dumps(self.summary(), indent=2, sort_keys=True) + "\n")
         paths.append(j)
         s = stem.parent / (stem.name + "_samples.csv")
@@ -137,10 +136,14 @@ class Predictor:
     # -- helpers -----------------------------------------------------------
 
     @property
+    def window(self) -> Window:
+        return Window.from_dict(self.window_config)
+
+    @property
     def state_dim(self) -> int:
         """Raw state dimension (parameters excluded when jointly modeled)."""
         d = self.flow.config.data_dim
-        return d - 2 if self.window_config.get("include_params") else d
+        return d - 2 if self.window.include_params else d
 
     def embed_context(self, context_raw: np.ndarray) -> np.ndarray | None:
         """Encoder embedding of one raw [R, m] window; None for an unconditional flow."""
@@ -215,17 +218,16 @@ class Predictor:
             raise ContextDimensionError(
                 f"initial context must be [{config.R}, m], got {window.shape}"
             )
-        trained_dir = self.window_config.get("direction")
-        if trained_dir and trained_dir != config.direction:
+        trained = self.window
+        if trained.direction != config.direction:
             raise ValueError(
-                f"model was trained for {trained_dir} estimation, not {config.direction}"
+                f"model was trained for {trained.direction} estimation, not {config.direction}"
             )
         # A prediction fed back as the next row is one step on; a model trained
         # further ahead would leave the window with mixed row spacings.
-        horizon = self.window_config.get("horizon", 1)
-        if horizon != 1:
+        if trained.horizon != 1:
             raise ValueError(
-                f"rollout needs a model trained for horizon 1, not horizon {horizon}"
+                f"rollout needs a model trained for horizon 1, not horizon {trained.horizon}"
             )
         m = window.shape[1]
         # Step 0 reuses the caller's seed so a 1-step rollout reproduces
@@ -265,7 +267,7 @@ class Predictor:
         When ``overlay_steps`` > 0 the mean-parameter trajectory is
         re-simulated for plotting against the data.
         """
-        if not self.window_config.get("include_params"):
+        if not self.window.include_params:
             raise ContextDimensionError(
                 "checkpoint was not trained with joint parameter targets"
             )

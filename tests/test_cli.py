@@ -3,9 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowstate.cli import main
-from flowstate.dynamics import read_dataset
+from flowstate.cli import ConfigError, _locate, main
+from flowstate.dynamics import Trajectory, TrajectorySet, Window, make_windows, read_dataset
 
 
 def run(*argv):
@@ -271,6 +273,98 @@ class TestEstimateRolloutEvaluate:
             "--traj", traj, "--samples", "16", "--out", str(tmp_path / "out"),
         ) == 2
         assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("direction, start, steps", [
+        ("forward", "195", "10"),   # targets 196..205 run past step 199
+        ("backward", "10", "12"),   # targets 9..-2 run before step 0
+    ])
+    def test_mape_target_steps_off_trajectory_exit_2(
+        self, tmp_path, capsys, direction, start, steps
+    ):
+        data, ckpt = tmp_path / "sir.csv", tmp_path / f"{direction}.json"
+        assert run(
+            "simulate", "--system", "sir", "--steps", "200", "--seed", "7",
+            "--s0", "0.98", "--i0", "0.01", "--r0", "0.01", "--out", str(data),
+        ) == 0
+        assert run(
+            "train", "--dataset", str(data), "--out", str(ckpt), "--direction", direction,
+            "--iterations", "2", "--batch-size", "8", "--flow-layers", "2",
+            "--mlp-hidden", "8", "--context-noise", "0",
+        ) == 0
+        capsys.readouterr()
+        assert run(
+            "evaluate", "--checkpoints", str(ckpt), "--dataset", str(data),
+            "--metric", "mape", "--start", start, "--steps", steps, "--samples", "16",
+            "--out", str(tmp_path / "mape.csv"),
+        ) == 2
+        assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("case, where", [
+    ("header-only", "bad.csv:1:"),
+    ("ragged-row", "bad.csv:5:"),
+    ("nan-observation", "bad.csv:7: non-finite obs_I"),
+    ("truncated-checkpoint", "bad.json"),
+])
+def test_corrupt_inputs_exit_1_naming_file_and_line(
+    tmp_path, sir_dataset, tiny_checkpoint, capsys, case, where
+):
+    data, ckpt = sir_dataset, tiny_checkpoint
+    if case == "truncated-checkpoint":
+        ckpt = tmp_path / "bad.json"
+        text = tiny_checkpoint.read_text()
+        ckpt.write_text(text[: len(text) // 2])
+    else:
+        lines = sir_dataset.read_text().split("\n")
+        if case == "header-only":
+            lines = lines[:1]
+        elif case == "ragged-row":
+            lines[4] = lines[4].rsplit(",", 1)[0]
+        else:
+            fields = lines[6].split(",")
+            fields[4] = "nan"  # obs_I
+            lines[6] = ",".join(fields)
+        data = tmp_path / "bad.csv"
+        data.write_text("\n".join(lines))
+    capsys.readouterr()
+    assert run(
+        "estimate", "--checkpoint", str(ckpt), "--dataset", str(data), "--at", "20",
+        "--samples", "16", "--out", str(tmp_path / "est"),
+    ) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error:") and where in err[0], err
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_windows=st.integers(1, 16), R=st.integers(1, 6), horizon=st.integers(1, 4),
+    direction=st.sampled_from(["forward", "backward"]), include_params=st.booleans(),
+)
+def test_cli_window_matches_training_window(n_windows, R, horizon, direction, include_params):
+    T = n_windows + R + horizon - 1
+    rng = np.random.default_rng(T * 100 + R * 10 + horizon)
+    tr = Trajectory(system="sir", t=np.arange(T, dtype=float), obs=rng.normal(size=(T, 3)),
+                    states=rng.normal(size=(T, 3)), params={"beta": 0.03, "gamma": 0.01})
+    ts = TrajectorySet([tr])
+    wd = make_windows(ts, R=R, direction=direction, horizon=horizon,
+                      include_params=include_params, target_dims=(0, 2))
+    # The CLI reads the window back from a checkpoint's JSON.
+    win = Window.from_dict(json.loads(json.dumps(wd.window_config())))
+    by_anchor = {int(a): i for i, a in enumerate(wd.anchor)}
+    lo, hi = win.anchor_range(T)
+    assert sorted(by_anchor) == list(range(lo, hi + 1))
+    for anchor in range(-2, T + 2):
+        if anchor not in by_anchor:
+            with pytest.raises(ConfigError):
+                _locate(win, ts, 0, anchor, 1)
+            continue
+        i = by_anchor[anchor]
+        _, _, ctx, (tstep,) = _locate(win, ts, 0, anchor, 1)
+        np.testing.assert_array_equal(wd.norm.normalize_obs(ctx), wd.contexts[i])
+        assert tstep == wd.target_step[i]
+        np.testing.assert_array_equal(
+            wd.norm.normalize_target(win.target(tr, tstep)), wd.targets[i]
+        )
 
 
 class TestShowConfig:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -166,6 +167,13 @@ class TestEstimateState:
         truth = np.random.default_rng(14).normal(size=(500, 2))
         rep = pred.estimate_state(ctx, n_samples=400, seed=4, truth_samples=truth)
         assert rep.kl is not None and np.isfinite(rep.kl)
+
+    def test_report_json_keeps_dotted_stem(self, tmp_path):
+        rep = _predictor().estimate_state(np.zeros((3, 2)), n_samples=16, seed=1)
+        paths = rep.write(tmp_path / "estimate_t_4.0")
+        assert tmp_path / "estimate_t_4.0.json" in paths
+        assert json.loads((tmp_path / "estimate_t_4.0.json").read_text())["n_samples"] == 16
+        assert not (tmp_path / "estimate_t_4.json").exists()
 
     def test_denormalization_applied(self):
         pred = _predictor()
